@@ -97,13 +97,7 @@ def _load_config(args) -> ScenarioConfig:
         overrides["formula_mode"] = args.formula_mode
     if args.out is not None:
         overrides["out_dir"] = str(args.out)
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    if cfg.delta <= 0:
-        raise ConfigError(f"field 'delta' must be a positive number, got {cfg.delta!r}")
-    if cfg.angles < 2:
-        raise ConfigError(f"field 'angles' must be an integer >= 2, got {cfg.angles!r}")
-    return cfg
+    return dataclasses.replace(cfg, **overrides)  # construction validates the result
 
 
 def _out_dir(cfg: ScenarioConfig) -> Path:

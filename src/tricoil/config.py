@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from tricoil.circuit import LinkParams
-from tricoil.experiments import DEFAULT_DELTA, DEFAULT_MAX_ITER, STRATEGIES, Scenario
+from tricoil.experiments import DEFAULT_DELTA, DEFAULT_MAX_ITER, Scenario
 from tricoil.geometry import FRAME_MODES, FRAME_ORTHONORMAL
 from tricoil.magnetics import FORMULA_CANONICAL, FORMULA_MODES, CoilSpec
 
@@ -25,7 +25,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full run configuration: scenario, solver controls, and output settings."""
+    """Full run configuration: scenario, solver controls, and output settings.
+
+    Construction validates every field, ``dataclasses.replace`` included,
+    and raises :class:`ConfigError` naming the first invalid one.
+    """
 
     turns: int = 10
     radius: float = 0.1
@@ -40,9 +44,11 @@ class ScenarioConfig:
     angles: int = 360
     seed: int = 42
     out_dir: str = "out"
-    strategies: tuple = STRATEGIES
     frame_mode: str = FRAME_ORTHONORMAL
     formula_mode: str = FORMULA_CANONICAL
+
+    def __post_init__(self):
+        _validate(self)
 
     def coil(self) -> CoilSpec:
         return CoilSpec(
@@ -79,7 +85,7 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and int(value) == value
 
 
-def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
+def _validate(cfg: ScenarioConfig) -> None:
     if not _is_int(cfg.turns) or cfg.turns < 1:
         raise ConfigError(f"field 'turns' must be a positive integer, got {cfg.turns!r}")
     for name in _POSITIVE_FIELDS:
@@ -105,16 +111,10 @@ def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(f"field 'seed' must be an integer, got {cfg.seed!r}")
     if not isinstance(cfg.out_dir, str) or not cfg.out_dir:
         raise ConfigError(f"field 'out_dir' must be a nonempty string, got {cfg.out_dir!r}")
-    for strategy in cfg.strategies:
-        if strategy not in STRATEGIES:
-            raise ConfigError(f"field 'strategies' contains unknown strategy {strategy!r}")
-    if not cfg.strategies:
-        raise ConfigError("field 'strategies' must not be empty")
     if cfg.frame_mode not in FRAME_MODES:
         raise ConfigError(f"field 'frame_mode' must be one of {FRAME_MODES}, got {cfg.frame_mode!r}")
     if cfg.formula_mode not in FORMULA_MODES:
         raise ConfigError(f"field 'formula_mode' must be one of {FORMULA_MODES}, got {cfg.formula_mode!r}")
-    return cfg
 
 
 def parse_config(text) -> ScenarioConfig:
@@ -140,11 +140,7 @@ def parse_config(text) -> ScenarioConfig:
         if not isinstance(values["rx_center"], (list, tuple)):
             raise ConfigError(f"field 'rx_center' must be a list of 3 numbers, got {values['rx_center']!r}")
         values["rx_center"] = tuple(values["rx_center"])
-    if "strategies" in values:
-        if not isinstance(values["strategies"], (list, tuple)):
-            raise ConfigError(f"field 'strategies' must be a list, got {values['strategies']!r}")
-        values["strategies"] = tuple(values["strategies"])
-    return _validate(ScenarioConfig(**values))
+    return ScenarioConfig(**values)
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:

@@ -147,20 +147,8 @@ class SweepSummary:
     mean_iterations: float
 
 
-def run_strategy(
-    scenario: Scenario,
-    alpha: float,
-    strategy: str,
-    delta: float = DEFAULT_DELTA,
-    max_iter: int = DEFAULT_MAX_ITER,
-):
-    """Pathloss of one strategy at one angle; the joint strategy also returns its trace.
-
-    Returns ``(pathloss_db, trace)`` where ``trace`` is ``None`` for the
-    closed-form strategies (they involve no iteration).
-    """
-    m = scenario.mutual_at(alpha)
-    link = scenario.link
+def _strategy_loss(m, link: LinkParams, strategy: str, delta=DEFAULT_DELTA, max_iter=DEFAULT_MAX_ITER):
+    """Pathloss of one strategy on one mutual matrix, and the joint strategy's trace."""
     if strategy == STRATEGY_EQUAL:
         return pathloss_db(m, equal_current(link), equal_weights(), link), None
     if strategy == STRATEGY_TX_ONLY:
@@ -176,17 +164,34 @@ def run_strategy(
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
+def run_strategy(
+    scenario: Scenario,
+    alpha: float,
+    strategy: str,
+    delta: float = DEFAULT_DELTA,
+    max_iter: int = DEFAULT_MAX_ITER,
+):
+    """Pathloss of one strategy at one angle; the joint strategy also returns its trace.
+
+    Returns ``(pathloss_db, trace)`` where ``trace`` is ``None`` for the
+    closed-form strategies (they involve no iteration).
+    """
+    return _strategy_loss(scenario.mutual_at(alpha), scenario.link, strategy, delta, max_iter)
+
+
 def angle_sweep(scenario: Scenario, grid, delta: float = DEFAULT_DELTA, max_iter: int = DEFAULT_MAX_ITER) -> SweepResult:
     """All four strategies at every angle of ``grid``; deterministic, grid order kept."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("angle grid must be nonempty")
+    link = scenario.link
     points = []
     for alpha in grid:
-        equal_db, _ = run_strategy(scenario, alpha, STRATEGY_EQUAL, delta, max_iter)
-        txonly_db, _ = run_strategy(scenario, alpha, STRATEGY_TX_ONLY, delta, max_iter)
-        rxonly_db, _ = run_strategy(scenario, alpha, STRATEGY_RX_ONLY, delta, max_iter)
-        joint_db, trace = run_strategy(scenario, alpha, STRATEGY_JOINT, delta, max_iter)
+        m = scenario.mutual_at(alpha)
+        equal_db, _ = _strategy_loss(m, link, STRATEGY_EQUAL)
+        txonly_db, _ = _strategy_loss(m, link, STRATEGY_TX_ONLY)
+        rxonly_db, _ = _strategy_loss(m, link, STRATEGY_RX_ONLY)
+        joint_db, trace = _strategy_loss(m, link, STRATEGY_JOINT, delta, max_iter)
         points.append(
             SweepPoint(
                 alpha=float(alpha),
@@ -209,17 +214,14 @@ def threshold_sweep(scenario: Scenario, deltas, angle_grid, max_iter: int = DEFA
     angle_grid = np.asarray(angle_grid, dtype=float)
     mutuals = [scenario.mutual_at(alpha) for alpha in angle_grid]
     link = scenario.link
-    equal_losses = np.array(
-        [pathloss_db(m, equal_current(link), equal_weights(), link) for m in mutuals]
-    )
+    equal_losses = np.array([_strategy_loss(m, link, STRATEGY_EQUAL)[0] for m in mutuals])
 
     points = []
     for delta in deltas:
         reductions = np.empty(len(mutuals))
         iterations = np.empty(len(mutuals))
         for k, m in enumerate(mutuals):
-            trace = alternate(m, link, delta=delta, max_iter=max_iter)
-            joint = trace.best_round().pathloss
+            joint, trace = _strategy_loss(m, link, STRATEGY_JOINT, delta, max_iter)
             reductions[k] = 100.0 * (equal_losses[k] - joint) / equal_losses[k]
             iterations[k] = trace.iterations
         points.append(

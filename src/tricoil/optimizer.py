@@ -8,11 +8,9 @@ set proportional to the per-coil coupling magnitudes ``|m.T @ I|``.  The
 loop alternates the two steps and stops when the pathloss change falls
 below a threshold.
 
-The eigensolver is a self-contained symmetric 3x3 routine: closed-form
-characteristic cubic for the eigenvalues, cross-product eigenvectors, and
-one cyclic Jacobi sweep to polish residuals down to machine precision.
-The problem size never exceeds 3, so no external linear-algebra backend
-is needed.
+The eigensolver is ``np.linalg.eigh`` behind a thin wrapper that checks
+the input, scales it, orders the eigenpairs descending and fixes each
+eigenvector's sign, so every caller gets a deterministic result.
 """
 
 from __future__ import annotations
@@ -77,85 +75,19 @@ def build_qform(m, weights) -> np.ndarray:
     return sm @ sm.T
 
 
-def _eigenvalues_closed_form(a: np.ndarray):
-    """Eigenvalues of a symmetric 3x3 matrix, descending, via the trigonometric cubic."""
-    p1 = a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2
-    if p1 == 0.0:
-        return np.sort(np.diag(a))[::-1].copy(), True
-    q = np.trace(a) / 3.0
-    p2 = np.sum((np.diag(a) - q) ** 2) + 2.0 * p1
-    p = math.sqrt(p2 / 6.0)
-    b = (a - q * np.eye(3)) / p
-    r = np.linalg.det(b) / 2.0
-    # exact arithmetic keeps r in [-1, 1]; rounding can step outside
-    r = min(1.0, max(-1.0, r))
-    phi = math.acos(r) / 3.0
-    lam1 = q + 2.0 * p * math.cos(phi)
-    lam3 = q + 2.0 * p * math.cos(phi + 2.0 * np.pi / 3.0)
-    lam2 = 3.0 * q - lam1 - lam3
-    return np.array([lam1, lam2, lam3]), False
-
-
-def _eigenvector_by_cross(a: np.ndarray, lam: float) -> np.ndarray:
-    """Unit eigenvector for a simple eigenvalue via row cross products."""
-    rows = a - lam * np.eye(3)
-    candidates = (
-        np.cross(rows[0], rows[1]),
-        np.cross(rows[0], rows[2]),
-        np.cross(rows[1], rows[2]),
-    )
-    norms = [np.linalg.norm(c) for c in candidates]
-    k = int(np.argmax(norms))
-    if norms[k] == 0.0:
-        # rank(a - lam*I) <= 1: any unit vector orthogonal to the largest
-        # row is an eigenvector; the Jacobi sweep polishes the rest
-        row_norms = np.linalg.norm(rows, axis=1)
-        j = int(np.argmax(row_norms))
-        if row_norms[j] == 0.0:
-            return np.array([1.0, 0.0, 0.0])
-        u, _ = _orthonormal_complement(rows[j] / row_norms[j])
-        return u
-    return candidates[k] / norms[k]
-
-
-def _orthonormal_complement(v: np.ndarray):
-    j = int(np.argmin(np.abs(v)))
-    u = np.cross(v, np.eye(3)[j])
-    u /= np.linalg.norm(u)
-    w = np.cross(v, u)
-    return u, w
-
-
-def _rotation_angle(app: float, aqq: float, apq: float) -> float:
-    return 0.5 * math.atan2(2.0 * apq, app - aqq)
-
-
-def _jacobi_sweep(b: np.ndarray, v: np.ndarray):
-    """One cyclic Jacobi sweep on ``b`` accumulating rotations into ``v``'s columns."""
-    for p, q in ((0, 1), (0, 2), (1, 2)):
-        if b[p, q] == 0.0:
-            continue
-        theta = _rotation_angle(b[p, p], b[q, q], b[p, q])
-        c, s = math.cos(theta), math.sin(theta)
-        rot = np.eye(3)
-        rot[p, p] = c
-        rot[q, q] = c
-        rot[p, q] = -s
-        rot[q, p] = s
-        b = rot.T @ b @ rot
-        v = v @ rot
-    return b, v
-
-
 def symmetric_eig3(q) -> tuple:
-    """Eigen-decomposition of a symmetric 3x3 matrix.
+    """Eigen-decomposition of a symmetric 3x3 matrix via ``np.linalg.eigh``.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted
-    descending and unit eigenvectors in the matching *columns*.  The sign
-    convention makes the output deterministic: the largest-magnitude
-    component of each eigenvector is positive (first such component on
-    exact ties).  Residuals satisfy ``||Q v - lam v|| <= 1e-10 * ||Q||_F``
-    and eigenvectors are mutually orthogonal well within 1e-9.
+    descending and unit eigenvectors in the matching *columns*.  The input
+    is symmetrized and scaled by its largest entry before the solve, so
+    extreme magnitudes neither overflow nor underflow.  An exactly
+    diagonal input returns permuted coordinate axes, so ``np.eye(3)``
+    gives the canonical basis.  The sign convention makes the output
+    deterministic: the largest-magnitude component of each eigenvector is
+    positive (first such component on exact ties).  Residuals satisfy
+    ``||Q v - lam v|| <= 1e-10 * ||Q||_F`` and eigenvectors are mutually
+    orthogonal well within 1e-9.
     """
     q = np.asarray(q, dtype=float)
     if q.shape != (3, 3):
@@ -169,47 +101,16 @@ def symmetric_eig3(q) -> tuple:
         return np.zeros(3), np.eye(3)
 
     a = (q + q.T) / (2.0 * scale)  # exact symmetrization + scaling
-    values, diagonal = _eigenvalues_closed_form(a)
-    if diagonal:
-        order = np.argsort(-np.diag(a), kind="stable")
-        vectors = np.eye(3)[:, order]
-        b = np.diag(np.diag(a)[order]).astype(float)
-    else:
-        lam1, lam2, lam3 = values
-        # resolve the most isolated eigenvalue first: its eigenspace is
-        # one-dimensional, so the cross-product construction is stable
-        isolated = lam1 if lam1 - lam2 >= lam2 - lam3 else lam3
-        v_iso = _eigenvector_by_cross(a, isolated)
-        u, w = _orthonormal_complement(v_iso)
-        # 2x2 symmetric eigenproblem in the orthogonal complement
-        j00 = u @ a @ u
-        j11 = w @ a @ w
-        j01 = u @ a @ w
-        theta = _rotation_angle(j00, j11, j01)
-        c, s = math.cos(theta), math.sin(theta)
-        e1 = c * u + s * w
-        e2 = -s * u + c * w
-        pairs = [
-            (isolated, v_iso),
-            (float(e1 @ a @ e1), e1),
-            (float(e2 @ a @ e2), e2),
-        ]
-        pairs.sort(key=lambda t: -t[0])
-        vectors = np.column_stack([p[1] for p in pairs])
-        b = vectors.T @ a @ vectors
+    diagonal = np.diag(a)
+    if not np.any(a - np.diag(diagonal)):
+        order = np.argsort(-diagonal, kind="stable")
+        return diagonal[order] * scale, np.eye(3)[:, order]
 
-    # one polish sweep drives off-diagonal residue to machine precision
-    b, vectors = _jacobi_sweep(b, vectors)
-    values = np.diag(b).copy()
-    order = np.argsort(-values, kind="stable")
-    values = values[order] * scale
-    vectors = vectors[:, order]
-
-    for k in range(3):
-        col = vectors[:, k]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0.0:
-            vectors[:, k] = -col
+    values, vectors = np.linalg.eigh(a)  # ascending
+    values = values[::-1] * scale
+    vectors = vectors[:, ::-1].copy()
+    lead = np.argmax(np.abs(vectors), axis=0)
+    vectors[:, vectors[lead, np.arange(3)] < 0.0] *= -1.0
     return values, vectors
 
 
@@ -218,26 +119,15 @@ def _break_tie(m: np.ndarray, tied_vectors: np.ndarray) -> np.ndarray:
 
     Maximizes ``||m.T @ v||^2`` over the tied subspace (a small symmetric
     eigenproblem in the subspace coordinates); falls back to the first
-    basis vector when the couplings cannot distinguish either.
+    basis vector when the couplings cannot distinguish any direction.
     """
     gram = m @ m.T
     sub = tied_vectors.T @ gram @ tied_vectors
-    k = sub.shape[0]
-    if k == 1:
-        return tied_vectors[:, 0]
-    if k == 2:
-        theta = _rotation_angle(sub[0, 0], sub[1, 1], sub[0, 1])
-        c, s = math.cos(theta), math.sin(theta)
-        cand1 = np.array([c, s])
-        cand2 = np.array([-s, c])
-        best = max((cand1, cand2), key=lambda t: float(t @ sub @ t))
-        coeff = best
+    sub_values, sub_vectors = np.linalg.eigh(sub)  # ascending
+    if sub_values[-1] - sub_values[0] <= EIGENVALUE_TIE_REL * max(abs(sub_values[-1]), 1e-300):
+        coeff = np.eye(sub.shape[0])[:, 0]  # fully isotropic: canonical choice
     else:
-        sub_values, sub_vectors = symmetric_eig3(sub)
-        if sub_values[0] - sub_values[-1] <= EIGENVALUE_TIE_REL * max(abs(sub_values[0]), 1e-300):
-            coeff = np.eye(k)[:, 0]  # fully isotropic: canonical choice
-        else:
-            coeff = sub_vectors[:, 0]
+        coeff = sub_vectors[:, -1]
     v = tied_vectors @ coeff
     return v / np.linalg.norm(v)
 

@@ -113,6 +113,12 @@ class TestValidationAndUsage:
     def test_bad_delta_flag_exits_one(self, tmp_path):
         assert main(["optimize", "--delta", "-1", "--out", str(tmp_path)]) == 1
 
+    def test_nan_delta_flag_names_field(self, tmp_path, capsys):
+        assert main(["optimize", "--delta", "nan", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'delta' ")
+        assert err.count("\n") == 1
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 

@@ -66,7 +66,7 @@ class TestParse:
             parse_config('{"formula_mode": "mystery"}')
 
     def test_bad_strategies_rejected(self):
-        with pytest.raises(ConfigError, match="strategies"):
+        with pytest.raises(ConfigError, match="unknown configuration keys: strategies"):
             parse_config('{"strategies": ["joint", "psychic"]}')
 
     def test_invalid_utf8_rejected(self):
@@ -82,7 +82,7 @@ class TestRoundTrip:
     def test_custom_round_trip(self):
         cfg = parse_config(
             '{"turns": 7, "radius": 0.25, "delta": 0.003, "angles": 90, '
-            '"strategies": ["joint", "equal"], "frame_mode": "paper", '
+            '"frame_mode": "paper", '
             '"formula_mode": "paper", "z_r": 0.5, "out_dir": "results"}'
         )
         assert parse_config(serialize_config(cfg)) == cfg

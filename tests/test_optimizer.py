@@ -151,6 +151,18 @@ class TestOptimalCurrent:
         current = optimal_current(m, s, params)
         assert_allclose(current, [1.0, 0.0, 0.0], atol=1e-9)
 
+    def test_twofold_tie_break(self):
+        # Q = diag(0.8, 0.8, 0): the tie between x and y resolves toward x,
+        # the stronger raw coupling; a rotated copy resolves toward R[:, 0]
+        m = np.diag([2.0, 1.0, 0.1])
+        s = np.sqrt([0.2, 0.8, 0.0])
+        assert_allclose(build_qform(m, s), np.diag([0.8, 0.8, 0.0]), atol=1e-15)
+        params = LinkParams(omega=1.0, r_t=1.0, z_r=1.0, z_l=1.0, p0=1.0)
+        assert_allclose(optimal_current(m, s, params), [1.0, 0.0, 0.0], atol=1e-9)
+        rot, _ = np.linalg.qr(np.random.default_rng(25).standard_normal((3, 3)))
+        expected = rot[:, 0] * np.sign(rot[np.argmax(np.abs(rot[:, 0])), 0])
+        assert_allclose(optimal_current(rot @ m, s, params), expected, atol=1e-9)
+
     def test_fully_isotropic_is_deterministic(self):
         params = LinkParams(omega=1.0, r_t=1.0, z_r=1.0, z_l=1.0, p0=1.0)
         a = optimal_current(np.eye(3), equal_weights(), params)
