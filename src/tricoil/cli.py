@@ -239,7 +239,7 @@ def main(argv=None) -> int:
     except OracleFailure as exc:
         print(f"verifier failure: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (ArithmeticError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

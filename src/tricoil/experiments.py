@@ -207,21 +207,31 @@ def angle_sweep(scenario: Scenario, grid, delta: float = DEFAULT_DELTA, max_iter
 
 
 def threshold_sweep(scenario: Scenario, deltas, angle_grid, max_iter: int = DEFAULT_MAX_ITER) -> list:
-    """Joint-strategy reduction and iteration statistics for each stopping threshold."""
+    """Joint-strategy reduction and iteration statistics for each stopping threshold.
+
+    Each angle is solved once, at the smallest threshold; every threshold's
+    run is the prefix of that trace that ``OptimizationTrace.truncated``
+    cuts, identical to a fresh ``alternate`` at that threshold.
+    """
     deltas = [float(d) for d in deltas]
-    if any(d <= 0.0 for d in deltas):
+    if any(not d > 0.0 for d in deltas):
         raise ValueError("thresholds must be positive")
+    if not deltas:
+        return []
     angle_grid = np.asarray(angle_grid, dtype=float)
     mutuals = [scenario.mutual_at(alpha) for alpha in angle_grid]
     link = scenario.link
     equal_losses = np.array([_strategy_loss(m, link, STRATEGY_EQUAL)[0] for m in mutuals])
+    smallest = min(deltas)
+    traces = [alternate(m, link, delta=smallest, max_iter=max_iter) for m in mutuals]
 
     points = []
     for delta in deltas:
         reductions = np.empty(len(mutuals))
         iterations = np.empty(len(mutuals))
-        for k, m in enumerate(mutuals):
-            joint, trace = _strategy_loss(m, link, STRATEGY_JOINT, delta, max_iter)
+        for k, full in enumerate(traces):
+            trace = full.truncated(delta)
+            joint = trace.best_round().pathloss
             reductions[k] = 100.0 * (equal_losses[k] - joint) / equal_losses[k]
             iterations[k] = trace.iterations
         points.append(

@@ -15,6 +15,7 @@ eigenvector's sign, so every caller gets a deterministic result.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -65,6 +66,34 @@ class OptimizationTrace:
 
     def final_round(self) -> TraceStep:
         return self.rounds[-1]
+
+    def truncated(self, delta: float) -> "OptimizationTrace":
+        """The trace ``alternate`` returns at the larger threshold ``delta``.
+
+        The loop is deterministic and only its exit test reads the
+        threshold, so the run at ``delta >= self.threshold`` (same
+        ``max_iter``) is a prefix of this one: it stops on the first round
+        that meets the exit test at ``delta``, or where this run stopped.
+        A smaller, non-positive or NaN ``delta`` raises ``ValueError``.
+        """
+        if not (delta >= self.threshold > 0.0):
+            raise ValueError(f"delta must be >= the trace threshold {self.threshold}, got {delta}")
+        rounds = self.rounds
+        for n in range(2, len(rounds) + 1):
+            if _settled(rounds[n - 1].pathloss, rounds[n - 2].pathloss, delta):
+                return OptimizationTrace(
+                    # the starting state, when recorded, and the first n rounds
+                    steps=self.steps[: len(self.steps) - len(rounds) + n],
+                    converged=True,
+                    iterations=rounds[n - 1].iteration,
+                    threshold=float(delta),
+                )
+        return dataclasses.replace(self, threshold=float(delta))
+
+
+def _settled(loss: float, previous: float, delta: float) -> bool:
+    """The loop's exit test; absolute, not signed, so that a regression does not stop the loop."""
+    return abs(loss - previous) <= delta
 
 
 def build_qform(m, weights) -> np.ndarray:
@@ -194,8 +223,7 @@ def alternate(
     the current step, then the weight step, and records the pathloss.
     The loop exits once the absolute pathloss change between consecutive
     rounds is at most ``delta`` (dB) or after ``max_iter`` rounds, in
-    which case ``converged`` is False.  The absolute difference is used
-    on purpose: a signed test would exit on any regression.
+    which case ``converged`` is False.
 
     The starting state (equal-allocation current with ``s0``) is recorded
     as step 0 so traces show the unoptimized baseline; ``iterations``
@@ -218,7 +246,7 @@ def alternate(
         s = optimal_weights(m, currents)
         loss = pathloss_db(m, currents, s, params)
         steps.append(TraceStep(n, currents, s, loss))
-        if previous is not None and abs(loss - previous) <= delta:
+        if previous is not None and _settled(loss, previous, delta):
             converged = True
             break
         previous = loss

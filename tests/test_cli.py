@@ -122,6 +122,19 @@ class TestValidationAndUsage:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize(
+        "document",
+        [{"turns": 1e300}, {"wire_resistance_per_meter": 1e-300}],
+        ids=["turns-overflow", "resistance-underflow"],
+    )
+    def test_arithmetic_failure_exits_two(self, tmp_path, capsys, document):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(document))
+        assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ")
+        assert err.count("\n") == 1
+
 
 class TestConfigEnvPrecedence:
     def test_env_overrides_flag(self, tmp_path, monkeypatch):

@@ -105,6 +105,16 @@ class TestThresholdSweep:
     def test_rejects_nonpositive_thresholds(self):
         with pytest.raises(ValueError):
             threshold_sweep(SCENARIO, [0.0], SMALL_GRID)
+        with pytest.raises(ValueError):
+            threshold_sweep(SCENARIO, [1e-3, math.nan], SMALL_GRID)
+
+    def test_unsorted_duplicate_thresholds_match_single_calls(self):
+        deltas = [3e-1, 1e-4, 3e-1, 1e-2]
+        points = threshold_sweep(SCENARIO, deltas, SMALL_GRID)
+        assert points == [threshold_sweep(SCENARIO, [d], SMALL_GRID)[0] for d in deltas]
+
+    def test_no_thresholds(self):
+        assert threshold_sweep(SCENARIO, [], SMALL_GRID) == []
 
 
 class TestRegressionAnchors:

@@ -5,7 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tricoil.circuit import LinkParams, equal_weights, pathloss_db
+from tricoil.cli import DEFAULT_THRESHOLDS
 from tricoil.experiments import Scenario
+from tricoil.geometry import alpha_grid
 from tricoil.optimizer import (
     NoCouplingError,
     alternate,
@@ -20,16 +22,22 @@ SCENARIO = Scenario.reference()
 
 
 def power_iteration_top(q, steps=10_000, seed=0):
-    """Independent largest-eigenpair oracle: plain power iteration."""
+    """Independent largest-eigenpair oracle: plain power iteration.
+
+    Stops once the residual ``||q x - rho x||`` of the Rayleigh quotient
+    ``rho`` is at most ``1e-12 ||q||_F``: a symmetric matrix has an
+    eigenvalue within that residual of ``rho``.
+    """
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(3)
     x /= np.linalg.norm(x)
+    tol = 1e-12 * np.linalg.norm(q)
     for _ in range(steps):
         y = q @ x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0, x
-        x = y / norm
+        rho = float(x @ y)
+        if np.linalg.norm(y - rho * x) <= tol:
+            return rho, x
+        x = y / np.linalg.norm(y)
     return float(x @ q @ x), x
 
 
@@ -282,3 +290,38 @@ class TestAlternate:
             alternate(m, SCENARIO.link, delta=0.0)
         with pytest.raises(ValueError):
             alternate(m, SCENARIO.link, max_iter=0)
+
+
+def assert_same_trace(got, expected):
+    assert got.iterations == expected.iterations
+    assert got.converged == expected.converged
+    assert got.threshold == expected.threshold
+    assert len(got.steps) == len(expected.steps)
+    for a, b in zip(got.steps, expected.steps):
+        assert a.iteration == b.iteration
+        assert np.array_equal(a.currents, b.currents)
+        assert np.array_equal(a.weights, b.weights)
+        assert a.pathloss == b.pathloss
+
+
+class TestTruncated:
+    def test_matches_fresh_runs_at_cli_thresholds(self):
+        link = SCENARIO.link
+        for alpha in alpha_grid(36):
+            m = SCENARIO.mutual_at(alpha)
+            full = alternate(m, link, delta=1e-4)
+            for delta in DEFAULT_THRESHOLDS:
+                assert_same_trace(full.truncated(delta), alternate(m, link, delta=delta))
+
+    def test_max_iter_cap_without_convergence(self):
+        m = SCENARIO.mutual_at(1.0)
+        full = alternate(m, SCENARIO.link, delta=1e-15, max_iter=3)
+        assert not full.converged
+        for delta in (1e-15, 1e-4, 1.0):
+            assert_same_trace(full.truncated(delta), alternate(m, SCENARIO.link, delta=delta, max_iter=3))
+
+    def test_rejects_thresholds_below_the_trace(self):
+        full = alternate(SCENARIO.mutual_at(1.0), SCENARIO.link, delta=1e-3)
+        for delta in (5e-4, 0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                full.truncated(delta)
