@@ -21,7 +21,6 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,13 +88,13 @@ class LinkParams:
 
 
 def check_weights(weights) -> np.ndarray:
-    """Validate a combiner weight triple (unit square-sum) and return it as an array."""
+    """Validate combiner weights, one triple or an ``(N, 3)`` stack, each of unit square-sum."""
     s = np.asarray(weights, dtype=float)
-    if s.shape != (3,):
-        raise ValueError(f"weights must have shape (3,), got {s.shape}")
-    norm_sq = float(np.dot(s, s))
-    if abs(norm_sq - 1.0) > WEIGHT_NORM_TOL:
-        raise ValueError(f"weights must satisfy sum(s^2) = 1 within {WEIGHT_NORM_TOL}, got {norm_sq!r}")
+    if s.ndim not in (1, 2) or s.shape[-1] != 3:
+        raise ValueError(f"weights must have shape (3,) or (N, 3), got {s.shape}")
+    norm_sq = np.vecdot(s, s)
+    if not (np.abs(norm_sq - 1.0) <= WEIGHT_NORM_TOL).all():
+        raise ValueError(f"weights must satisfy sum(s^2) = 1 within {WEIGHT_NORM_TOL}, got {norm_sq}")
     return s
 
 
@@ -105,8 +104,8 @@ def equal_weights() -> np.ndarray:
 
 
 def coupled_amplitudes(m, currents) -> np.ndarray:
-    """Per-receive-coil coupling sums ``a_n = sum_k m[k, n] * I_k``."""
-    return np.asarray(m, dtype=float).T @ np.asarray(currents, dtype=float)
+    """Per-receive-coil coupling sums ``a_n = sum_k m[k, n] * I_k``; leading axes broadcast."""
+    return np.vecdot(np.asarray(currents, dtype=float)[..., np.newaxis], np.asarray(m, dtype=float), axis=-2)
 
 
 def receive_voltage(m, currents, omega: float) -> np.ndarray:
@@ -114,33 +113,37 @@ def receive_voltage(m, currents, omega: float) -> np.ndarray:
     return 1j * float(omega) * coupled_amplitudes(m, currents)
 
 
-def receive_power(m, currents, weights, params: LinkParams) -> float:
-    """Weighted receive power (W); always >= 0, zero iff S * (m.T @ I) = 0."""
-    s = check_weights(weights)
-    a = coupled_amplitudes(m, currents)
-    return params.receive_constant * float(np.sum((s * a) ** 2))
+def receive_power(m, currents, weights, params: LinkParams):
+    """Weighted receive power (W); always >= 0, zero iff S * (m.T @ I) = 0.  One value per stacked link."""
+    return _receive_power(m, currents, check_weights(weights), params)
 
 
-def transmit_power(currents, r_t: float) -> float:
-    """Total transmit power R_t * (I1^2 + I2^2 + I3^2) (W)."""
+def _receive_power(m, currents, s, params: LinkParams):
+    return params.receive_constant * ((s * coupled_amplitudes(m, currents)) ** 2).sum(axis=-1)
+
+
+def transmit_power(currents, r_t: float):
+    """Total transmit power R_t * (I1^2 + I2^2 + I3^2) (W), one value per current vector."""
     if not r_t > 0.0:
         raise ValueError(f"r_t must be > 0, got {r_t}")
     i = np.asarray(currents, dtype=float)
-    return float(r_t * np.dot(i, i))
+    return r_t * np.vecdot(i, i)
 
 
-def pathloss_db(m, currents, weights, params: LinkParams) -> float:
-    """Link pathloss -10*log10(P_r / P_t) in dB.
+def pathloss_db(m, currents, weights, params: LinkParams):
+    """Link pathloss -10*log10(P_r / P_t) in dB, one value per stacked link.
 
-    Invariant under scaling of the current vector.  Returns ``math.inf``
-    when the received power vanishes (no coupling through the combiner);
-    a zero current vector is rejected.
+    Invariant under scaling of the current vector.  Returns ``inf`` when
+    the received power vanishes (no coupling through the combiner); a zero
+    current vector is rejected.
     """
     i = np.asarray(currents, dtype=float)
-    p_t = transmit_power(i, params.r_t)
-    if p_t == 0.0:
+    if (transmit_power(i, params.r_t) == 0.0).any():
         raise ValueError("current vector must be nonzero")
-    p_r = receive_power(m, i, weights, params)
-    if p_r <= 0.0:
-        return math.inf
-    return -10.0 * math.log10(p_r / p_t)
+    with np.errstate(divide="ignore"):
+        return _pathloss(m, i, check_weights(weights), params)
+
+
+def _pathloss(m, currents, s, params: LinkParams):
+    """``pathloss_db`` on checked inputs; call it under ``np.errstate(divide="ignore")`` (P_r = 0: infinite loss)."""
+    return -10.0 * np.log10(_receive_power(m, currents, s, params) / transmit_power(currents, params.r_t))

@@ -28,7 +28,7 @@ import numpy as np
 from tricoil.circuit import LinkParams, equal_weights, pathloss_db
 from tricoil.geometry import FRAME_ORTHONORMAL, TriadPose, receiver_pose_from_alpha, transmitter_pose
 from tricoil.magnetics import FORMULA_CANONICAL, CoilSpec, mutual_matrix
-from tricoil.optimizer import alternate, equal_current, optimal_current, optimal_weights
+from tricoil.optimizer import alternate, alternate_stack, equal_current, optimal_current, optimal_weights
 
 STRATEGY_JOINT = "joint"
 STRATEGY_TX_ONLY = "tx-only"
@@ -147,101 +147,77 @@ class SweepSummary:
     mean_iterations: float
 
 
-def _strategy_loss(m, link: LinkParams, strategy: str, delta=DEFAULT_DELTA, max_iter=DEFAULT_MAX_ITER):
-    """Pathloss of one strategy on one mutual matrix, and the joint strategy's trace."""
-    if strategy == STRATEGY_EQUAL:
-        return pathloss_db(m, equal_current(link), equal_weights(), link), None
-    if strategy == STRATEGY_TX_ONLY:
-        currents = optimal_current(m, equal_weights(), link)
-        return pathloss_db(m, currents, equal_weights(), link), None
-    if strategy == STRATEGY_RX_ONLY:
-        currents = equal_current(link)
-        weights = optimal_weights(m, currents)
-        return pathloss_db(m, currents, weights, link), None
-    if strategy == STRATEGY_JOINT:
-        trace = alternate(m, link, delta=delta, max_iter=max_iter)
-        return trace.best_round().pathloss, trace
-    raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+def _mutual_stack(scenario: Scenario, grid) -> tuple:
+    """The angle grid as an array, and the ``(N, 3, 3)`` stack of its mutual matrices."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise ValueError("angle grid must be nonempty")
+    return grid, np.stack([scenario.mutual_at(alpha) for alpha in grid])
+
+
+def _closed_form_losses(m, link: LinkParams) -> dict:
+    """Equal, tx-only and rx-only pathlosses of one mutual matrix or of each matrix of a stack."""
+    i_eq, s_eq = equal_current(link), equal_weights()
+    return {
+        STRATEGY_EQUAL: pathloss_db(m, i_eq, s_eq, link),
+        STRATEGY_TX_ONLY: pathloss_db(m, optimal_current(m, s_eq, link), s_eq, link),
+        STRATEGY_RX_ONLY: pathloss_db(m, i_eq, optimal_weights(m, i_eq), link),
+    }
 
 
 def run_strategy(
-    scenario: Scenario,
-    alpha: float,
-    strategy: str,
-    delta: float = DEFAULT_DELTA,
-    max_iter: int = DEFAULT_MAX_ITER,
+    scenario: Scenario, alpha: float, strategy: str, delta: float = DEFAULT_DELTA, max_iter: int = DEFAULT_MAX_ITER
 ):
     """Pathloss of one strategy at one angle; the joint strategy also returns its trace.
 
     Returns ``(pathloss_db, trace)`` where ``trace`` is ``None`` for the
     closed-form strategies (they involve no iteration).
     """
-    return _strategy_loss(scenario.mutual_at(alpha), scenario.link, strategy, delta, max_iter)
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    m = scenario.mutual_at(alpha)
+    if strategy == STRATEGY_JOINT:
+        trace = alternate(m, scenario.link, delta=delta, max_iter=max_iter)
+        return trace.best_round().pathloss, trace
+    return float(_closed_form_losses(m, scenario.link)[strategy]), None
 
 
 def angle_sweep(scenario: Scenario, grid, delta: float = DEFAULT_DELTA, max_iter: int = DEFAULT_MAX_ITER) -> SweepResult:
-    """All four strategies at every angle of ``grid``; deterministic, grid order kept."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("angle grid must be nonempty")
-    link = scenario.link
-    points = []
-    for alpha in grid:
-        m = scenario.mutual_at(alpha)
-        equal_db, _ = _strategy_loss(m, link, STRATEGY_EQUAL)
-        txonly_db, _ = _strategy_loss(m, link, STRATEGY_TX_ONLY)
-        rxonly_db, _ = _strategy_loss(m, link, STRATEGY_RX_ONLY)
-        joint_db, trace = _strategy_loss(m, link, STRATEGY_JOINT, delta, max_iter)
-        points.append(
-            SweepPoint(
-                alpha=float(alpha),
-                joint_db=joint_db,
-                txonly_db=txonly_db,
-                rxonly_db=rxonly_db,
-                equal_db=equal_db,
-                iterations=trace.iterations,
-                converged=trace.converged,
-            )
-        )
-    return SweepResult(points=tuple(points))
+    """All four strategies at every angle of ``grid``; deterministic, grid order kept.
+
+    The strategies run on the stack of the grid's mutual matrices: the
+    closed-form ones as array expressions, the joint one as one
+    ``alternate_stack`` run whose lanes equal lone ``alternate`` runs.
+    """
+    grid, ms = _mutual_stack(scenario, grid)
+    closed = _closed_form_losses(ms, scenario.link)
+    run = alternate_stack(ms, scenario.link, delta=delta, max_iter=max_iter)
+    columns = (grid, run.best_pathloss(), closed[STRATEGY_TX_ONLY], closed[STRATEGY_RX_ONLY], closed[STRATEGY_EQUAL])
+    columns += (run.iterations, run.converged)
+    return SweepResult(points=tuple(SweepPoint(*point) for point in zip(*(c.tolist() for c in columns))))
 
 
 def threshold_sweep(scenario: Scenario, deltas, angle_grid, max_iter: int = DEFAULT_MAX_ITER) -> list:
     """Joint-strategy reduction and iteration statistics for each stopping threshold.
 
-    Each angle is solved once, at the smallest threshold; every threshold's
-    run is the prefix of that trace that ``OptimizationTrace.truncated``
-    cuts, identical to a fresh ``alternate`` at that threshold.
+    The grid is solved once, at the smallest threshold; every threshold's
+    run is the cut of that run that ``StackedRun.cut`` makes, identical
+    to a fresh ``alternate`` at that threshold.
     """
     deltas = [float(d) for d in deltas]
     if any(not d > 0.0 for d in deltas):
         raise ValueError("thresholds must be positive")
+    _, ms = _mutual_stack(scenario, angle_grid)
     if not deltas:
         return []
-    angle_grid = np.asarray(angle_grid, dtype=float)
-    mutuals = [scenario.mutual_at(alpha) for alpha in angle_grid]
-    link = scenario.link
-    equal_losses = np.array([_strategy_loss(m, link, STRATEGY_EQUAL)[0] for m in mutuals])
-    smallest = min(deltas)
-    traces = [alternate(m, link, delta=smallest, max_iter=max_iter) for m in mutuals]
-
-    points = []
-    for delta in deltas:
-        reductions = np.empty(len(mutuals))
-        iterations = np.empty(len(mutuals))
-        for k, full in enumerate(traces):
-            trace = full.truncated(delta)
-            joint = trace.best_round().pathloss
-            reductions[k] = 100.0 * (equal_losses[k] - joint) / equal_losses[k]
-            iterations[k] = trace.iterations
-        points.append(
-            ThresholdPoint(
-                delta=delta,
-                mean_reduction_pct=float(np.mean(reductions)),
-                mean_iterations=float(np.mean(iterations)),
-            )
-        )
-    return points
+    equal = pathloss_db(ms, equal_current(scenario.link), equal_weights(), scenario.link)
+    run = alternate_stack(ms, scenario.link, delta=min(deltas), max_iter=max_iter)
+    cuts = [run.cut(delta) for delta in deltas]
+    reductions = [100.0 * (equal - cut.best_pathloss()) / equal for cut in cuts]
+    return [
+        ThresholdPoint(delta, float(np.mean(reduction)), float(np.mean(cut.iterations)))
+        for delta, reduction, cut in zip(deltas, reductions, cuts)
+    ]
 
 
 def summary_stats(result: SweepResult) -> SweepSummary:

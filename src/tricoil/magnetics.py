@@ -83,14 +83,15 @@ def _coupling_scale(tx: CoilSpec, rx: CoilSpec) -> float:
     return MU_0 * tx.turns * rx.turns * tx.area * rx.area / (4.0 * np.pi)
 
 
-def dipole_mutual(n_t, n_r, offset, tx: CoilSpec, rx: CoilSpec) -> float:
-    """General dipole coupling (henries) between two coils.
+def dipole_mutual(n_t, n_r, offset, tx: CoilSpec, rx: CoilSpec):
+    """General dipole coupling (henries) between two coils, or between broadcast stacks of them.
 
     Parameters
     ----------
-    n_t, n_r : array-like (3,)
-        Coil normals.  The expression is linear in each, so unit vectors
-        give the physical coupling.
+    n_t, n_r : array-like (..., 3)
+        Coil normals, with broadcasting leading axes: ``(3, 1, 3)`` against
+        ``(3, 3)`` gives the 3x3 block.  The expression is linear in each,
+        so unit vectors give the physical coupling.
     offset : array-like (3,)
         Receive center minus transmit center, in meters.  Must be nonzero.
     """
@@ -98,20 +99,19 @@ def dipole_mutual(n_t, n_r, offset, tx: CoilSpec, rx: CoilSpec) -> float:
     r = np.linalg.norm(offset)
     if r == 0.0:
         raise SingularGeometryError("coil centers coincide; dipole coupling is singular")
-    n_t = np.asarray(n_t, dtype=float)
-    n_r = np.asarray(n_r, dtype=float)
     rhat = offset / r
-    angular = 3.0 * np.dot(n_t, rhat) * np.dot(n_r, rhat) - np.dot(n_t, n_r)
+    angular = 3.0 * np.vecdot(n_t, rhat) * np.vecdot(n_r, rhat) - np.vecdot(n_t, n_r)
     return _coupling_scale(tx, rx) / r**3 * angular
 
 
-def paper_literal_mutual(tx_axis: int, n_r, offset, tx: CoilSpec, rx: CoilSpec) -> float:
+def paper_literal_mutual(tx_axis: int, n_r, offset, tx: CoilSpec, rx: CoilSpec):
     """Published polynomial coupling for transmit coil ``tx_axis`` (henries).
 
     ``tx_axis`` selects the axis-aligned transmit coil: 0 for the z-axis
     coil, 1 for the x-axis coil, 2 for the y-axis coil.  ``n_r`` holds the
-    receive-coil direction cosines.  Rows 0 and 2 expand the dipole model
-    exactly; row 1 is the variant whose direction-cosine
+    receive-coil direction cosines in its last axis, so a receive triad's
+    normals give one coupling per receive coil.  Rows 0 and 2 expand the
+    dipole model exactly; row 1 is the variant whose direction-cosine
     assignment differs from it.
     """
     offset = np.asarray(offset, dtype=float)
@@ -119,7 +119,7 @@ def paper_literal_mutual(tx_axis: int, n_r, offset, tx: CoilSpec, rx: CoilSpec) 
     if r == 0.0:
         raise SingularGeometryError("coil centers coincide; dipole coupling is singular")
     x, y, z = offset
-    ca, cb, cg = np.asarray(n_r, dtype=float)
+    ca, cb, cg = np.moveaxis(np.asarray(n_r, dtype=float), -1, 0)
     scale = _coupling_scale(tx, rx) / r**5
     if tx_axis == 0:  # z-axis transmit coil
         poly = 3.0 * x * z * ca + 3.0 * y * z * cb + (2.0 * z * z - x * x - y * y) * cg
@@ -141,26 +141,23 @@ def mutual_matrix(
 ) -> np.ndarray:
     """3x3 mutual-inductance matrix; entry [i, j] couples transmit coil i to receive coil j.
 
-    Canonical mode evaluates the dipole expression per coil pair and
-    accepts any transmit orientation.  Paper mode evaluates the verbatim
-    polynomials and requires the transmit triad to be the axis-aligned
-    one (coils along z, x, y).
+    Canonical mode evaluates the dipole expression on every coil pair in
+    one broadcast call and accepts any transmit orientation.  Paper mode
+    evaluates the verbatim polynomials, one call per transmit row, and
+    requires the transmit triad to be the axis-aligned one (coils along z,
+    x, y).  A coupling scale or an entry that overflows raises
+    ``ArithmeticError``.
     """
     if mode not in FORMULA_MODES:
         raise ValueError(f"unknown formula mode {mode!r}; expected one of {FORMULA_MODES}")
     offset = rx_pose.center - tx_pose.center
-    if np.linalg.norm(offset) == 0.0:
-        raise SingularGeometryError("transmit and receive triads share a center")
-    m = np.empty((3, 3))
-    if mode == FORMULA_CANONICAL:
-        for i in range(3):
-            for j in range(3):
-                m[i, j] = dipole_mutual(tx_pose.normals[i], rx_pose.normals[j], offset, tx, rx)
-        return m
-    expected = transmitter_pose(tx_pose.center).normals
-    if np.max(np.abs(tx_pose.normals - expected)) > 1e-12:
-        raise ValueError("paper formula mode requires the axis-aligned transmit triad (z, x, y)")
-    for i in range(3):
-        for j in range(3):
-            m[i, j] = paper_literal_mutual(i, rx_pose.normals[j], offset, tx, rx)
-    return m
+    if mode == FORMULA_PAPER:
+        expected = transmitter_pose(tx_pose.center).normals
+        if np.max(np.abs(tx_pose.normals - expected)) > 1e-12:
+            raise ValueError("paper formula mode requires the axis-aligned transmit triad (z, x, y)")
+    if not np.isfinite(_coupling_scale(tx, rx)):
+        raise ArithmeticError("coupling scale mu0*Nt*Nr*At*Ar/(4*pi) overflows")
+    with np.errstate(over="raise", divide="raise", invalid="raise"):  # FloatingPointError, not a warning
+        if mode == FORMULA_CANONICAL:
+            return dipole_mutual(tx_pose.normals[:, np.newaxis], rx_pose.normals, offset, tx, rx)
+        return np.array([paper_literal_mutual(i, rx_pose.normals, offset, tx, rx) for i in range(3)])

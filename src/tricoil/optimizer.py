@@ -15,16 +15,17 @@ eigenvector's sign, so every caller gets a deterministic result.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from tricoil.circuit import LinkParams, check_weights, coupled_amplitudes, equal_weights, pathloss_db
+from tricoil.circuit import LinkParams, _pathloss, check_weights, coupled_amplitudes, equal_weights
 
 SYMMETRY_TOL = 1e-12
 EIGENVALUE_TIE_REL = 1e-9
+_UPPER = np.triu_indices(3, 1)
+_TINY = np.finfo(float).smallest_subnormal
 
 
 class NoCouplingError(ValueError):
@@ -67,79 +68,106 @@ class OptimizationTrace:
     def final_round(self) -> TraceStep:
         return self.rounds[-1]
 
-    def truncated(self, delta: float) -> "OptimizationTrace":
-        """The trace ``alternate`` returns at the larger threshold ``delta``.
 
-        The loop is deterministic and only its exit test reads the
-        threshold, so the run at ``delta >= self.threshold`` (same
-        ``max_iter``) is a prefix of this one: it stops on the first round
-        that meets the exit test at ``delta``, or where this run stopped.
-        A smaller, non-positive or NaN ``delta`` raises ``ValueError``.
+@dataclass(frozen=True)
+class StackedRun:
+    """Per-lane record of the alternating loop on a stack of N mutual matrices.
+
+    Column 0 of ``currents``, ``weights`` (``(N, K+1, 3)``) and ``pathloss``
+    (``(N, K+1)``) is the starting state, column n round n.  Lane k's run
+    is its first ``iterations[k] + 1`` columns; it stopped on the exit test
+    if ``converged[k]``, else after ``max_iter`` rounds.
+    """
+
+    currents: np.ndarray
+    weights: np.ndarray
+    pathloss: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    threshold: float
+
+    def best_pathloss(self) -> np.ndarray:
+        """Each lane's lowest pathloss over its rounds 1..iterations."""
+        rounds = np.arange(1, self.pathloss.shape[1])
+        return np.min(np.where(rounds <= self.iterations[:, np.newaxis], self.pathloss[:, 1:], np.inf), axis=1)
+
+    def cut(self, delta: float) -> "StackedRun":
+        """The run ``alternate_stack`` makes at ``delta >= self.threshold`` with the same ``max_iter``.
+
+        Only the exit test reads the threshold, so each lane's run at
+        ``delta`` is a prefix of this one: it stops on the first round that
+        meets the exit test at ``delta``, or where this run stopped.  A
+        smaller, non-positive or NaN ``delta`` raises ``ValueError``.
         """
-        if not (delta >= self.threshold > 0.0):
-            raise ValueError(f"delta must be >= the trace threshold {self.threshold}, got {delta}")
-        rounds = self.rounds
-        for n in range(2, len(rounds) + 1):
-            if _settled(rounds[n - 1].pathloss, rounds[n - 2].pathloss, delta):
-                return OptimizationTrace(
-                    # the starting state, when recorded, and the first n rounds
-                    steps=self.steps[: len(self.steps) - len(rounds) + n],
-                    converged=True,
-                    iterations=rounds[n - 1].iteration,
-                    threshold=float(delta),
-                )
-        return dataclasses.replace(self, threshold=float(delta))
+        if not (delta >= self.threshold):
+            raise ValueError(f"delta must be >= the run threshold {self.threshold}, got {delta}")
+        with np.errstate(invalid="ignore"):  # inf - inf
+            settled = _settled(self.pathloss[:, 2:], self.pathloss[:, 1:-1], delta)
+        hit = settled.any(axis=1)  # no lane hits in a one-round run, whose empty round axis argmax rejects
+        iterations = np.where(hit, settled.argmax(axis=1) + 2, self.iterations) if hit.any() else self.iterations
+        return StackedRun(self.currents, self.weights, self.pathloss, iterations, hit, float(delta))
 
 
-def _settled(loss: float, previous: float, delta: float) -> bool:
-    """The loop's exit test; absolute, not signed, so that a regression does not stop the loop."""
-    return abs(loss - previous) <= delta
+def _settled(loss, previous, delta: float) -> np.ndarray:
+    """The exit test, per lane: absolute, so a regression does not stop the loop; two infinite losses never settle."""
+    return np.abs(loss - previous) <= delta
 
 
 def build_qform(m, weights) -> np.ndarray:
-    """Received-power quadratic form Q = m @ diag(s^2) @ m.T (symmetric PSD)."""
-    s = check_weights(weights)
-    m = np.asarray(m, dtype=float)
-    sm = s[np.newaxis, :] * m  # scale columns: (S @ m.T).T
-    return sm @ sm.T
+    """Received-power quadratic form Q = m @ diag(s^2) @ m.T (symmetric PSD); leading axes broadcast."""
+    return _qform(np.asarray(m, dtype=float), check_weights(weights))
+
+
+def _qform(m, s):
+    sm = s[..., np.newaxis, :] * m  # scale columns: (S @ m.T).T
+    return sm @ sm.swapaxes(-1, -2)
 
 
 def symmetric_eig3(q) -> tuple:
-    """Eigen-decomposition of a symmetric 3x3 matrix via ``np.linalg.eigh``.
+    """Eigen-decomposition of a symmetric 3x3 matrix, or of each matrix of a stack, via ``np.linalg.eigh``.
 
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted
-    descending and unit eigenvectors in the matching *columns*.  The input
-    is symmetrized and scaled by its largest entry before the solve, so
-    extreme magnitudes neither overflow nor underflow.  An exactly
-    diagonal input returns permuted coordinate axes, so ``np.eye(3)``
-    gives the canonical basis.  The sign convention makes the output
+    Returns ``(eigenvalues, eigenvectors)`` of shapes ``(..., 3)`` and
+    ``(..., 3, 3)``, with eigenvalues sorted descending and unit
+    eigenvectors in the matching *columns*.  Each input is symmetrized and
+    scaled by its largest entry before the solve, so extreme magnitudes
+    neither overflow nor underflow.  An exactly diagonal input returns
+    permuted coordinate axes, so ``np.eye(3)`` and the zero matrix give
+    the canonical basis.  The sign convention makes the output
     deterministic: the largest-magnitude component of each eigenvector is
     positive (first such component on exact ties).  Residuals satisfy
     ``||Q v - lam v|| <= 1e-10 * ||Q||_F`` and eigenvectors are mutually
-    orthogonal well within 1e-9.
+    orthogonal well within 1e-9.  Each matrix of a stack gets exactly the
+    result it gets alone; one invalid matrix fails the whole call.
     """
     q = np.asarray(q, dtype=float)
-    if q.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {q.shape}")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("matrix contains non-finite entries")
-    scale = float(np.max(np.abs(q)))
-    if np.max(np.abs(q - q.T)) > SYMMETRY_TOL * max(1.0, scale):
+    if q.ndim not in (2, 3) or q.shape[-2:] != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix or an (N, 3, 3) stack, got shape {q.shape}")
+    stack = q.reshape(-1, 3, 3)
+    values, vectors = _eig_desc(stack)  # first, as it rejects non-finite entries
+    bound = SYMMETRY_TOL * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    if (np.abs(stack - stack.swapaxes(1, 2)).max(axis=(1, 2)) > bound).any():
         raise ValueError("matrix is not symmetric")
-    if scale == 0.0:
-        return np.zeros(3), np.eye(3)
+    return values.reshape(q.shape[:-1]), vectors.reshape(q.shape)
 
-    a = (q + q.T) / (2.0 * scale)  # exact symmetrization + scaling
-    diagonal = np.diag(a)
-    if not np.any(a - np.diag(diagonal)):
-        order = np.argsort(-diagonal, kind="stable")
-        return diagonal[order] * scale, np.eye(3)[:, order]
 
+def _eig_desc(stack) -> tuple:
+    """``symmetric_eig3`` on an ``(N, 3, 3)`` stack of symmetric matrices; a non-finite entry raises."""
+    scale = np.abs(stack).max(axis=(1, 2))
+    if not np.isfinite(scale).all():
+        raise ValueError("matrix contains non-finite entries")
+    # exact symmetrization + scaling; a zero matrix stays zero
+    a = (stack + stack.swapaxes(1, 2)) / (2.0 * np.maximum(scale, _TINY))[:, np.newaxis, np.newaxis]
     values, vectors = np.linalg.eigh(a)  # ascending
-    values = values[::-1] * scale
-    vectors = vectors[:, ::-1].copy()
-    lead = np.argmax(np.abs(vectors), axis=0)
-    vectors[:, vectors[lead, np.arange(3)] < 0.0] *= -1.0
+    values = values[:, ::-1] * scale[:, np.newaxis]
+    vectors = vectors[:, :, ::-1]
+    lead = vectors[np.arange(len(a))[:, np.newaxis], np.abs(vectors).argmax(axis=1), np.arange(3)]
+    vectors = np.where((lead < 0.0)[:, np.newaxis, :], -vectors, vectors)
+    off_diagonal = a[:, _UPPER[0], _UPPER[1]]
+    if not off_diagonal.all():
+        for k in (~off_diagonal.any(axis=1)).nonzero()[0]:  # exactly diagonal, zero included
+            diagonal = np.diagonal(a[k])
+            order = np.argsort(-diagonal, kind="stable")
+            values[k], vectors[k] = diagonal[order] * scale[k], np.eye(3)[:, order]
     return values, vectors
 
 
@@ -148,7 +176,8 @@ def _break_tie(m: np.ndarray, tied_vectors: np.ndarray) -> np.ndarray:
 
     Maximizes ``||m.T @ v||^2`` over the tied subspace (a small symmetric
     eigenproblem in the subspace coordinates); falls back to the first
-    basis vector when the couplings cannot distinguish any direction.
+    basis vector when the couplings cannot distinguish any direction.  The
+    eigenvector sign rule then applies.
     """
     gram = m @ m.T
     sub = tied_vectors.T @ gram @ tied_vectors
@@ -158,11 +187,24 @@ def _break_tie(m: np.ndarray, tied_vectors: np.ndarray) -> np.ndarray:
     else:
         coeff = sub_vectors[:, -1]
     v = tied_vectors @ coeff
-    return v / np.linalg.norm(v)
+    v = v / np.linalg.norm(v)
+    return -v if v[np.argmax(np.abs(v))] < 0.0 else v
+
+
+def _top_direction(ms, q) -> np.ndarray:
+    """Unit top eigenvector of each form of the stack ``q``, ties resolved on the matching ``ms``."""
+    values, vectors = _eig_desc(q)
+    if values[:, 0].min() <= 0.0:
+        raise NoCouplingError("received power vanishes for every current vector")
+    # lane k ties its top eigenvalue (now known positive) with the next one (column 0) or two (column 1)
+    tied = values[:, :1] - values[:, 1:] <= EIGENVALUE_TIE_REL * values[:, :1]
+    for k in tied[:, 0].nonzero()[0]:
+        vectors[k, :, 0] = _break_tie(ms[k], vectors[k, :, : 2 + tied[k, 1]])
+    return vectors[:, :, 0]
 
 
 def optimal_current(m, weights, params: LinkParams) -> np.ndarray:
-    """Transmit current maximizing receive power for fixed weights.
+    """Transmit current maximizing receive power for fixed weights, per stacked link.
 
     The top unit eigenvector of the received-power quadratic form, scaled
     so that ``||I||^2 = P0 / R_t`` (the power budget is met with
@@ -170,37 +212,22 @@ def optimal_current(m, weights, params: LinkParams) -> np.ndarray:
     direction of strongest raw coupling, then the eigenvector sign rule
     applies, making the result deterministic.
     """
-    m = np.asarray(m, dtype=float)
     q = build_qform(m, weights)
-    if np.max(np.abs(q)) == 0.0:
-        raise NoCouplingError("no coupling between transmit currents and receive coils")
-    values, vectors = symmetric_eig3(q)
-    if values[0] <= 0.0:
-        raise NoCouplingError("received power vanishes for every current vector")
-    tie_span = 1
-    for k in (1, 2):
-        if values[0] - values[k] <= EIGENVALUE_TIE_REL * abs(values[0]):
-            tie_span = k + 1
-    if tie_span > 1:
-        v = _break_tie(m, vectors[:, :tie_span])
-        lead = int(np.argmax(np.abs(v)))
-        if v[lead] < 0.0:
-            v = -v
-    else:
-        v = vectors[:, 0]
-    return math.sqrt(params.p0 / params.r_t) * v
+    ms = np.broadcast_to(m, q.shape).reshape(-1, 3, 3)
+    top = _top_direction(ms, q.reshape(-1, 3, 3))
+    return math.sqrt(params.p0 / params.r_t) * top.reshape(q.shape[:-1])
 
 
 def optimal_weights(m, currents) -> np.ndarray:
-    """Combiner weights proportional to the per-coil coupling magnitudes.
+    """Combiner weights proportional to the per-coil coupling magnitudes, per stacked link.
 
     ``s_n = |a_n| / sqrt(sum_j a_j^2)`` with ``a = m.T @ I``; the result
     has unit square-sum.  Applying the rule again with the same current
     reproduces the same weights exactly.
     """
     a = np.abs(coupled_amplitudes(m, currents))
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
+    norm = np.sqrt(np.vecdot(a, a))[..., np.newaxis]
+    if (norm == 0.0).any():
         raise NoCouplingError("all coupling amplitudes are zero; weights undefined")
     return a / norm
 
@@ -210,13 +237,42 @@ def equal_current(params: LinkParams) -> np.ndarray:
     return np.full(3, math.sqrt(params.p0 / (3.0 * params.r_t)))
 
 
-def alternate(
-    m,
-    params: LinkParams,
-    s0=None,
-    delta: float = 2.5e-2,
-    max_iter: int = 100,
-) -> OptimizationTrace:
+def alternate_stack(ms, params: LinkParams, s0=None, delta: float = 2.5e-2, max_iter: int = 100) -> StackedRun:
+    """``alternate`` on every matrix of an ``(N, 3, 3)`` stack at once; ``s0`` is one triple or ``(N, 3)``.
+
+    Lane k makes, bit for bit, the rounds ``alternate`` makes on ``ms[k]``
+    alone.  The loop runs until every lane has met the exit test, or for
+    ``max_iter`` rounds; a lane that met it early computes further rounds,
+    which its ``iterations`` leaves out.
+    """
+    if not (delta > 0.0):
+        raise ValueError(f"delta must be > 0, got {delta}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    ms = np.asarray(ms, dtype=float)
+    if ms.ndim != 3 or ms.shape[1:] != (3, 3) or len(ms) == 0:
+        raise ValueError(f"expected a nonempty (N, 3, 3) stack of matrices, got shape {ms.shape}")
+    currents = equal_current(params) * np.ones((len(ms), 1))
+    weights = np.empty_like(currents)
+    weights[:] = equal_weights() if s0 is None else check_weights(s0)  # one triple, or one per lane
+    root = math.sqrt(params.p0 / params.r_t)
+    settled = np.zeros(len(ms), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):  # an infinite loss (_pathloss, _settled) is no fault
+        history = [(currents, weights, _pathloss(ms, currents, weights, params))]
+        for r in range(1, max_iter + 1):
+            currents = root * _top_direction(ms, _qform(ms, weights))
+            weights = optimal_weights(ms, currents)
+            history.append((currents, weights, _pathloss(ms, currents, weights, params)))
+            if r > 1:
+                settled |= _settled(history[-1][2], history[-2][2], delta)
+                if settled.all():
+                    break
+    currents, weights, losses = (np.array(column).swapaxes(0, 1) for column in zip(*history))
+    rounds = np.full(len(ms), len(history) - 1)
+    return StackedRun(currents, weights, losses, rounds, settled, float(delta)).cut(delta)
+
+
+def alternate(m, params: LinkParams, s0=None, delta: float = 2.5e-2, max_iter: int = 100) -> OptimizationTrace:
     """Alternating optimization of currents and weights.
 
     Starting from weights ``s0`` (uniform by default), each round solves
@@ -227,33 +283,10 @@ def alternate(
 
     The starting state (equal-allocation current with ``s0``) is recorded
     as step 0 so traces show the unoptimized baseline; ``iterations``
-    counts optimization rounds only.
+    counts optimization rounds only.  This is the one-lane view of
+    ``alternate_stack``.
     """
-    if not (delta > 0.0):
-        raise ValueError(f"delta must be > 0, got {delta}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    m = np.asarray(m, dtype=float)
-    s = equal_weights() if s0 is None else check_weights(s0)
-
-    i0 = equal_current(params)
-    steps = [TraceStep(0, i0, s.copy(), pathloss_db(m, i0, s, params))]
-
-    converged = False
-    previous = None
-    for n in range(1, max_iter + 1):
-        currents = optimal_current(m, s, params)
-        s = optimal_weights(m, currents)
-        loss = pathloss_db(m, currents, s, params)
-        steps.append(TraceStep(n, currents, s, loss))
-        if previous is not None and _settled(loss, previous, delta):
-            converged = True
-            break
-        previous = loss
-
-    return OptimizationTrace(
-        steps=tuple(steps),
-        converged=converged,
-        iterations=steps[-1].iteration,
-        threshold=float(delta),
-    )
+    run = alternate_stack(np.asarray(m, dtype=float)[np.newaxis], params, s0, delta, max_iter)
+    lane = zip(run.currents[0], run.weights[0], run.pathloss[0].tolist())
+    steps = tuple(TraceStep(n, *state) for n, state in enumerate(lane))
+    return OptimizationTrace(steps, bool(run.converged[0]), int(run.iterations[0]), run.threshold)

@@ -122,10 +122,11 @@ class TestValidationAndUsage:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning would print a second stderr line
     @pytest.mark.parametrize(
         "document",
-        [{"turns": 1e300}, {"wire_resistance_per_meter": 1e-300}],
-        ids=["turns-overflow", "resistance-underflow"],
+        [{"turns": 1e300}, {"wire_resistance_per_meter": 1e-300}, {"rx_center": [1e120, 0, 0]}],
+        ids=["turns-overflow", "resistance-underflow", "distance-overflow"],
     )
     def test_arithmetic_failure_exits_two(self, tmp_path, capsys, document):
         cfg = tmp_path / "cfg.json"

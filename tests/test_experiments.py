@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tricoil.circuit import LinkParams, equal_weights, pathloss_db
+from tricoil.cli import DEFAULT_THRESHOLDS
 from tricoil.experiments import (
     STRATEGIES,
     Scenario,
@@ -90,6 +91,13 @@ class TestAngleSweep:
         with pytest.raises(ValueError):
             angle_sweep(SCENARIO, [])
 
+    def test_points_equal_single_angle_strategies(self, sweep):
+        for point in sweep.points:
+            for strategy in STRATEGIES:
+                assert point.loss(strategy) == run_strategy(SCENARIO, point.alpha, strategy)[0]
+            trace = run_strategy(SCENARIO, point.alpha, "joint")[1]
+            assert (point.iterations, point.converged) == (trace.iterations, trace.converged)
+
 
 class TestThresholdSweep:
     def test_huge_threshold_stops_at_two_rounds(self):
@@ -115,6 +123,23 @@ class TestThresholdSweep:
 
     def test_no_thresholds(self):
         assert threshold_sweep(SCENARIO, [], SMALL_GRID) == []
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError):
+            threshold_sweep(SCENARIO, [1e-3], [])
+
+    def test_matches_fresh_runs_at_cli_thresholds(self):
+        grid = alpha_grid(36)
+        link = SCENARIO.link
+        mutuals = [SCENARIO.mutual_at(alpha) for alpha in grid]
+        equal = np.array([pathloss_db(m, equal_current(link), equal_weights(), link) for m in mutuals])
+        points = threshold_sweep(SCENARIO, DEFAULT_THRESHOLDS, grid)
+        assert [p.delta for p in points] == list(DEFAULT_THRESHOLDS)
+        for point in points:
+            traces = [alternate(m, link, delta=point.delta) for m in mutuals]
+            joint = np.array([trace.best_round().pathloss for trace in traces])
+            assert point.mean_iterations == np.mean([trace.iterations for trace in traces])
+            assert point.mean_reduction_pct == np.mean(100.0 * (equal - joint) / equal)
 
 
 class TestRegressionAnchors:

@@ -11,6 +11,7 @@ from tricoil.geometry import alpha_grid
 from tricoil.optimizer import (
     NoCouplingError,
     alternate,
+    alternate_stack,
     build_qform,
     equal_current,
     optimal_current,
@@ -137,6 +138,24 @@ class TestSymmetricEig3:
         assert_allclose(values[0], np.dot(u, u) + 1e-9, rtol=1e-10)
         assert_allclose(np.abs(vectors[:, 0]), np.abs(u) / np.linalg.norm(u), atol=1e-7)
 
+    def test_stack_equals_per_matrix_calls_bitwise(self):
+        rng = np.random.default_rng(26)
+        lanes = [random_physical_qform(rng) for _ in range(20)]
+        lanes += [np.zeros((3, 3)), np.eye(3), np.diag([1.0, 3.0, 2.0]), np.diag([2.0, 2.0, 0.0])]
+        values, vectors = symmetric_eig3(np.array(lanes))
+        assert values.shape == (24, 3) and vectors.shape == (24, 3, 3)
+        for k, q in enumerate(lanes):
+            alone_values, alone_vectors = symmetric_eig3(q)
+            assert np.array_equal(values[k], alone_values)
+            assert np.array_equal(vectors[k], alone_vectors)
+
+    def test_one_bad_matrix_fails_the_stack(self):
+        skew = np.eye(3)
+        skew[0, 1] = 1e-6
+        for bad in (skew, np.diag([1.0, math.inf, 0.0]), np.full((3, 3), math.nan)):
+            with pytest.raises(ValueError):
+                symmetric_eig3(np.array([np.eye(3), bad]))
+
 
 class TestOptimalCurrent:
     def test_diagonal_form(self):
@@ -158,6 +177,8 @@ class TestOptimalCurrent:
         params = LinkParams(omega=1.0, r_t=1.0, z_r=1.0, z_l=1.0, p0=1.0)
         current = optimal_current(m, s, params)
         assert_allclose(current, [1.0, 0.0, 0.0], atol=1e-9)
+        # the strongest coupling along the last of the three tied axes
+        assert_allclose(optimal_current(m[::-1, ::-1], s[::-1], params), [0.0, 0.0, 1.0], atol=1e-9)
 
     def test_twofold_tie_break(self):
         # Q = diag(0.8, 0.8, 0): the tie between x and y resolves toward x,
@@ -278,11 +299,13 @@ class TestAlternate:
             trace = alternate(m, link)
             assert trace.rounds[0].pathloss <= baseline + 1e-9
 
-    def test_max_iter_returns_unconverged_trace(self):
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    def test_max_iter_returns_unconverged_trace(self, max_iter):
         m = SCENARIO.mutual_at(1.0)
-        trace = alternate(m, SCENARIO.link, delta=1e-15, max_iter=3)
+        trace = alternate(m, SCENARIO.link, delta=1e-15, max_iter=max_iter)
         assert not trace.converged
-        assert trace.iterations == 3
+        assert trace.iterations == max_iter
+        assert len(trace.steps) == max_iter + 1
 
     def test_rejects_bad_arguments(self):
         m = SCENARIO.mutual_at(1.0)
@@ -290,38 +313,68 @@ class TestAlternate:
             alternate(m, SCENARIO.link, delta=0.0)
         with pytest.raises(ValueError):
             alternate(m, SCENARIO.link, max_iter=0)
+        with pytest.raises(ValueError):
+            alternate(m, SCENARIO.link, s0=np.full((2, 3), 1.0 / math.sqrt(3.0)))
 
 
-def assert_same_trace(got, expected):
-    assert got.iterations == expected.iterations
-    assert got.converged == expected.converged
-    assert got.threshold == expected.threshold
-    assert len(got.steps) == len(expected.steps)
-    for a, b in zip(got.steps, expected.steps):
-        assert a.iteration == b.iteration
-        assert np.array_equal(a.currents, b.currents)
-        assert np.array_equal(a.weights, b.weights)
-        assert a.pathloss == b.pathloss
+def stacked_lanes():
+    """The 36-angle grid in all four frame x formula modes, plus tie (3- and 2-fold) and diagonal lanes."""
+    ms = [
+        Scenario.reference(frame_mode=frame, formula_mode=formula).mutual_at(alpha)
+        for frame in ("orthonormal", "paper")
+        for formula in ("canonical", "paper")
+        for alpha in alpha_grid(36)
+    ]
+    ms += [SCENARIO.mutual_at(np.pi / 2), 1e-9 * np.eye(3), 1e-9 * np.diag([1.0, 1.0, 0.1])]
+    ms += [1e-9 * np.diag([2.0, 1.0, 0.1])]
+    return np.array(ms)
 
 
-class TestTruncated:
-    def test_matches_fresh_runs_at_cli_thresholds(self):
-        link = SCENARIO.link
-        for alpha in alpha_grid(36):
-            m = SCENARIO.mutual_at(alpha)
-            full = alternate(m, link, delta=1e-4)
-            for delta in DEFAULT_THRESHOLDS:
-                assert_same_trace(full.truncated(delta), alternate(m, link, delta=delta))
+class TestStackedRun:
+    @pytest.mark.parametrize("delta, max_iter", [(2.5e-2, 100), (1e-15, 3)], ids=["default", "capped"])
+    def test_lanes_equal_lone_runs_bitwise(self, delta, max_iter):
+        ms = stacked_lanes()
+        run = alternate_stack(ms, SCENARIO.link, delta=delta, max_iter=max_iter)
+        assert run.threshold == delta
+        for k, m in enumerate(ms):
+            alone = alternate(m, SCENARIO.link, delta=delta, max_iter=max_iter)
+            assert (run.iterations[k], run.converged[k]) == (alone.iterations, alone.converged)
+            for step in alone.steps:
+                assert np.array_equal(run.currents[k, step.iteration], step.currents)
+                assert np.array_equal(run.weights[k, step.iteration], step.weights)
+                assert run.pathloss[k, step.iteration] == step.pathloss
+            assert run.best_pathloss()[k] == alone.best_round().pathloss
 
-    def test_max_iter_cap_without_convergence(self):
-        m = SCENARIO.mutual_at(1.0)
-        full = alternate(m, SCENARIO.link, delta=1e-15, max_iter=3)
-        assert not full.converged
+    def test_cut_matches_fresh_runs_at_cli_thresholds(self):
+        ms = stacked_lanes()
+        full = alternate_stack(ms, SCENARIO.link, delta=1e-4)
+        for delta in DEFAULT_THRESHOLDS:
+            assert_same_run(full.cut(delta), alternate_stack(ms, SCENARIO.link, delta=delta))
+
+    def test_cut_of_a_capped_run(self):
+        ms = stacked_lanes()
+        full = alternate_stack(ms, SCENARIO.link, delta=1e-15, max_iter=3)
+        assert not full.converged.all()
         for delta in (1e-15, 1e-4, 1.0):
-            assert_same_trace(full.truncated(delta), alternate(m, SCENARIO.link, delta=delta, max_iter=3))
+            assert_same_run(full.cut(delta), alternate_stack(ms, SCENARIO.link, delta=delta, max_iter=3))
 
-    def test_rejects_thresholds_below_the_trace(self):
-        full = alternate(SCENARIO.mutual_at(1.0), SCENARIO.link, delta=1e-3)
+    def test_cut_rejects_thresholds_below_the_run(self):
+        full = alternate_stack(stacked_lanes()[:4], SCENARIO.link, delta=1e-3)
         for delta in (5e-4, 0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
-                full.truncated(delta)
+                full.cut(delta)
+
+    def test_rejects_bad_stacks(self):
+        for ms in (np.zeros((0, 3, 3)), np.eye(3), np.zeros((2, 3, 2))):
+            with pytest.raises(ValueError):
+                alternate_stack(ms, SCENARIO.link)
+
+
+def assert_same_run(got, expected):
+    assert got.threshold == expected.threshold
+    assert np.array_equal(got.iterations, expected.iterations)
+    assert np.array_equal(got.converged, expected.converged)
+    assert np.array_equal(got.best_pathloss(), expected.best_pathloss())
+    for k, rounds in enumerate(expected.iterations):
+        for name in ("currents", "weights", "pathloss"):
+            assert np.array_equal(getattr(got, name)[k, : rounds + 1], getattr(expected, name)[k, : rounds + 1])
